@@ -67,7 +67,6 @@ func run(args []string) error {
 	var (
 		addr         = fs.String("addr", ":7070", "listen address")
 		queues       = fs.String("queues", "default:FunnelTree:64:4:0", "comma-separated queue specs name:alg:pris[:shards[:capacity]]")
-		maxBatch     = fs.Int("maxbatch", 64, "pipelined requests per response flush")
 		retryMillis  = fs.Int("retry-millis", 2, "RETRY_AFTER backoff hint (ms)")
 		conc         = fs.Int("concurrency", 0, "expected contending connections (sizes funnels; 0 = GOMAXPROCS)")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "graceful drain budget on SIGTERM")
@@ -117,9 +116,7 @@ func run(args []string) error {
 		handler = slog.DiscardHandler
 	}
 	logger := slog.New(handler)
-	logf := func(format string, a ...any) { logger.Info(fmt.Sprintf(format, a...)) }
 	srv := server.New(server.Config{
-		MaxBatch:         *maxBatch,
 		RetryAfterMillis: *retryMillis,
 		Concurrency:      *conc,
 		Logger:           logger,
@@ -152,15 +149,8 @@ func run(args []string) error {
 		if err := srv.AddQueue(spec); err != nil {
 			return err
 		}
-		logf("pqd: queue %q: %s pris=%d shards=%d capacity=%d",
-			spec.Name, spec.Algorithm, spec.Priorities, spec.Shards, spec.Capacity)
-		if *dataDir != "" {
-			if st, ok := srv.QueueStats(spec.Name); ok && st.Durability != nil {
-				logf("pqd: queue %q: durable (fsync=%s, recovered=%d items, replayed=%d records, torn=%v)",
-					spec.Name, st.Durability.FsyncPolicy, st.Durability.RecoveredItems,
-					st.Durability.ReplayedRecords, st.Durability.TornTail)
-			}
-		}
+		logger.Info("queue added", "queue", spec.Name, "algorithm", string(spec.Algorithm),
+			"priorities", spec.Priorities, "shards", spec.Shards, "capacity", spec.Capacity)
 	}
 
 	if *clusterMap != "" {
@@ -174,7 +164,7 @@ func run(args []string) error {
 		if err := srv.SetClusterMap(m, *clusterSelf); err != nil {
 			return err
 		}
-		logf("pqd: cluster mode: map v%d, %d nodes, self=%s", m.Version, len(m.Nodes), *clusterSelf)
+		logger.Info("cluster mode", "map_version", m.Version, "nodes", len(m.Nodes), "self", *clusterSelf)
 	} else if *clusterSelf != "" {
 		return fmt.Errorf("-cluster-self requires -cluster-map")
 	}
@@ -205,7 +195,7 @@ func run(args []string) error {
 		}
 		return err
 	case sig := <-sigs:
-		logf("pqd: %v: draining (timeout %v)", sig, *drainTimeout)
+		logger.Info("draining", "signal", sig.String(), "timeout", *drainTimeout)
 		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
 		err := srv.Shutdown(ctx)
@@ -220,7 +210,7 @@ func run(args []string) error {
 		}
 		<-serveErr
 		if err == context.DeadlineExceeded {
-			logf("pqd: drain timeout: severed remaining connections")
+			logger.Info("drain timeout: severed remaining connections")
 			return nil
 		}
 		return err

@@ -89,13 +89,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // statuszDoc is the /statusz JSON shape.
 type statuszDoc struct {
-	Addr         string   `json:"addr,omitempty"`
-	Uptime       string   `json:"uptime"`
-	GoVersion    string   `json:"go_version"`
-	NumGoroutine int      `json:"num_goroutine"`
-	ConnsActive  int64    `json:"conns_active"`
-	Ready        bool     `json:"ready"`
-	ReadyErr     string   `json:"ready_err,omitempty"`
+	Addr         string `json:"addr,omitempty"`
+	Uptime       string `json:"uptime"`
+	GoVersion    string `json:"go_version"`
+	NumGoroutine int    `json:"num_goroutine"`
+	ConnsActive  int64  `json:"conns_active"`
+	Ready        bool   `json:"ready"`
+	ReadyErr     string `json:"ready_err,omitempty"`
 	// Cluster is present when the server runs with a cluster map: the
 	// full versioned map, this node's identity, and its misroute count.
 	Cluster *wire.ClusterStats `json:"cluster,omitempty"`

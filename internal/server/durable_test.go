@@ -19,6 +19,7 @@ import (
 func startDurableServer(t *testing.T, cfg Config, specs ...QueueSpec) (*Server, string, func() error) {
 	t.Helper()
 	cfg.Concurrency = 8
+	cfg.Logger = testLogger(t)
 	s := New(cfg)
 	for _, spec := range specs {
 		if err := s.AddQueue(spec); err != nil {
@@ -279,7 +280,7 @@ func TestSealWaitsForInflightSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, rec, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever, Logf: t.Logf})
+		l, rec, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever, Logger: testLogger(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +323,7 @@ func TestSealWaitsForInflightSnapshot(t *testing.T) {
 // occupancy is back under the bound.
 func TestRecoveredOverflowKeepsAdmissionClosed(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever, Logf: t.Logf})
+	l, _, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +343,7 @@ func TestRecoveredOverflowKeepsAdmissionClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, rec, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever, Logf: t.Logf})
+	l2, rec, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,12 +3,15 @@
 // of named queues, each backed by any pq.Algorithm with optional
 // priority-range sharding, admission control via the paper's bounded
 // fetch-and-decrement counter (shedding with RETRY_AFTER instead of
-// queueing unboundedly), per-connection read/process goroutine pairs
-// with micro-batched response flushing, and graceful drain.
+// queueing unboundedly), one goroutine per connection that flushes
+// each pipelined burst of responses in one vectored write, and graceful
+// drain.
 package server
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -30,23 +33,15 @@ import (
 
 // Config tunes a Server.
 type Config struct {
-	// MaxBatch caps how many pipelined requests are processed between
-	// response flushes on one connection (micro-batching amortizes
-	// syscalls when clients pipeline). Default 64.
-	MaxBatch int
 	// RetryAfterMillis is the backoff hint sent with shed requests.
 	// Default 2.
 	RetryAfterMillis int
 	// Concurrency sizes the funnel layers of the backing queues and
 	// admission counters; default GOMAXPROCS.
 	Concurrency int
-	// Logf receives serving diagnostics; nil discards them. Retained
-	// for compatibility — new code should set Logger. When only one of
-	// Logf/Logger is set, the other is bridged to it.
-	Logf func(format string, args ...any)
 	// Logger receives structured serving diagnostics (connection ids,
 	// queue names, WAL recovery and poison events, slow-op warnings).
-	// nil falls back to Logf, or discards when both are nil.
+	// nil discards them.
 	Logger *slog.Logger
 	// SlowOp logs any queue mutation that took longer than this at
 	// Warn level and counts it in pq_queue_slow_ops_total. 0 disables
@@ -84,70 +79,19 @@ type Config struct {
 }
 
 func (c *Config) normalize() {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
 	if c.RetryAfterMillis <= 0 {
 		c.RetryAfterMillis = 2
 	}
 	if c.Concurrency <= 0 {
 		c.Concurrency = runtime.GOMAXPROCS(0)
 	}
-	// Bridge the two logging surfaces: whichever the caller set feeds
-	// the other, so server internals can log structured while WAL code
-	// keeps its printf-style hook.
-	switch {
-	case c.Logger == nil && c.Logf != nil:
-		c.Logger = slog.New(logfHandler{f: c.Logf})
-	case c.Logger == nil:
+	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
-	}
-	if c.Logf == nil {
-		if lg := c.Logger; lg.Enabled(context.Background(), slog.LevelInfo) {
-			c.Logf = func(format string, args ...any) {
-				lg.Info(fmt.Sprintf(format, args...))
-			}
-		} else {
-			c.Logf = func(string, ...any) {}
-		}
 	}
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = 100000
 	}
 }
-
-// logfHandler adapts a printf-style Logf sink into a slog.Handler, so
-// a Config that only sets Logf still sees the structured log stream.
-type logfHandler struct {
-	f     func(string, ...any)
-	attrs string
-}
-
-func (h logfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var sb strings.Builder
-	sb.WriteString(r.Message)
-	sb.WriteString(h.attrs)
-	r.Attrs(func(a slog.Attr) bool {
-		fmt.Fprintf(&sb, " %s=%v", a.Key, a.Value.Any())
-		return true
-	})
-	h.f("server: %s", sb.String())
-	return nil
-}
-
-func (h logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	var sb strings.Builder
-	sb.WriteString(h.attrs)
-	for _, a := range attrs {
-		fmt.Fprintf(&sb, " %s=%v", a.Key, a.Value.Any())
-	}
-	h.attrs = sb.String()
-	return h
-}
-
-func (h logfHandler) WithGroup(string) slog.Handler { return h }
 
 // Server is a pqd serving instance.
 type Server struct {
@@ -226,7 +170,7 @@ func (s *Server) AddQueue(spec QueueSpec) error {
 			Policy:       s.cfg.Fsync,
 			Interval:     s.cfg.FsyncInterval,
 			SegmentBytes: s.cfg.SegmentBytes,
-			Logf:         s.cfg.Logf,
+			Logger:       s.cfg.Logger.With("queue", spec.Name),
 			Metrics:      q.walMet,
 		})
 		if err != nil {
@@ -237,8 +181,8 @@ func (s *Server) AddQueue(spec QueueSpec) error {
 			return err
 		}
 		s.cfg.Logger.Info("queue recovered",
-			"queue", spec.Name, "items", len(rec.Items), "snapshot_lsn", rec.SnapshotLSN,
-			"replayed_records", rec.Replayed, "torn_tail", rec.Torn)
+			"queue", spec.Name, "fsync", s.cfg.Fsync.String(), "items", len(rec.Items),
+			"snapshot_lsn", rec.SnapshotLSN, "replayed_records", rec.Replayed, "torn_tail", rec.Torn)
 		if over := q.admitOverflow.Load(); over > 0 {
 			s.cfg.Logger.Warn("recovered items exceed capacity; admission stays closed until occupancy drops below the bound",
 				"queue", spec.Name, "over", over, "capacity", spec.Capacity)
@@ -422,15 +366,6 @@ func (s *Server) dropConn(c net.Conn) {
 	s.connsWG.Done()
 }
 
-// connReq is one decoded frame handed from a connection's reader
-// goroutine to its processor. protoErr carries a recoverable per-frame
-// protocol error (bad version / bad flags): the frame was consumed from
-// the stream and the processor replies TError instead of dispatching.
-type connReq struct {
-	f        wire.Frame
-	protoErr error
-}
-
 // connState carries one connection's identity through the request
 // path: the id correlates log lines and picks metric stripes.
 type connState struct {
@@ -468,100 +403,68 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// serveConn runs one connection: a reader goroutine decodes frames
-// into a channel and this goroutine processes them, flushing the
-// response writer only when the pipeline runs dry or MaxBatch requests
-// have been handled — the server-side micro-batch, which the
-// respWriter turns into one vectored write per flush.
+// maxBatch caps how many requests one connection handles between
+// response flushes, so a client that keeps its pipeline full still
+// sees its responses at a steady pace.
+const maxBatch = 64
+
+// serveConn runs one connection in one goroutine: read a frame, handle
+// it, recycle its payload, and flush the response writer once the next
+// frame is not already complete in the read buffer or maxBatch requests
+// have been handled since the last flush. Whatever the client pipelined
+// goes back as one vectored write, and no request crosses a goroutine.
 //
-// Buffer ownership along the path: the reader's FrameReader hands each
-// request a pooled payload buffer; the processor recycles it right
-// after handle() returns (everything a request retains — an inserted
-// item — was copied into a queue envelope by then, and everything a
-// response references is queue envelopes, never the request payload).
-// On the rare early-exit paths, payloads still queued in the channel
-// are simply dropped for the GC to take — a pool miss, not a leak.
+// Buffer ownership along the path: the FrameReader hands each request
+// a pooled payload buffer, recycled right after handle returns —
+// everything a request retains (an inserted item) was copied into a
+// queue envelope by then, and everything a response references is
+// queue envelopes, never the request payload.
 func (s *Server) serveConn(c net.Conn) {
 	defer s.dropConn(c)
 
 	cs := connState{id: s.nextConnID.Add(1)}
 	cs.log = s.cfg.Logger.With("conn", cs.id, "remote", c.RemoteAddr().String())
+	var src io.Reader = c
+	var dst io.Writer = c
 	if s.metricsOn {
 		s.met.connsAccepted.Add(1)
 		s.met.connsActive.Add(1)
 		defer s.met.connsActive.Add(-1)
-	}
-
-	// done tells the reader the processor is gone (write error), so a
-	// reader blocked sending into a full reqs channel doesn't leak.
-	done := make(chan struct{})
-	defer close(done)
-
-	reqs := make(chan connReq, s.cfg.MaxBatch)
-	go func() {
-		defer close(reqs)
-		var src io.Reader = c
-		if s.metricsOn {
-			src = &countingReader{r: c, n: s.met.bytesRead, hint: cs.id}
-		}
-		br := getConnReader(src)
-		defer putConnReader(br)
-		var fr wire.FrameReader
-		for {
-			f, err := fr.ReadFrame(br)
-			if err != nil && !errors.Is(err, wire.ErrBadVersion) && !errors.Is(err, wire.ErrBadFlags) {
-				if !errors.Is(err, net.ErrClosed) && !isEOF(err) {
-					cs.log.Warn("read failed", "err", err)
-				}
-				return
-			}
-			if s.metricsOn {
-				s.met.framesRead.Inc(cs.id)
-				if err != nil {
-					s.met.resyncs.Inc(cs.id)
-				}
-			}
-			select {
-			case reqs <- connReq{f: f, protoErr: err}:
-			case <-done:
-				wire.PutBuf(f.Payload)
-				return
-			}
-		}
-	}()
-
-	var dst io.Writer = c
-	if s.metricsOn {
+		src = &countingReader{r: c, n: s.met.bytesRead, hint: cs.id}
 		dst = &countingWriter{w: c, n: s.met.bytesWritten, hint: cs.id}
 	}
+	br := getConnReader(src)
+	defer putConnReader(br)
 	w := getRespWriter(dst)
 	defer w.release()
+
+	var fr wire.FrameReader
+	var n int
 	var flushed int64
-	for r := range reqs {
-		n := 1
-		err := s.handle(r, w, cs)
-		wire.PutBuf(r.f.Payload)
+	for {
+		f, perr := fr.ReadFrame(br)
+		if perr != nil && !errors.Is(perr, wire.ErrBadVersion) && !errors.Is(perr, wire.ErrBadFlags) {
+			if !errors.Is(perr, net.ErrClosed) && !isEOF(perr) {
+				cs.log.Warn("read failed", "err", perr)
+			}
+			w.flush() // best effort: the connection ends either way
+			return
+		}
+		if s.metricsOn {
+			s.met.framesRead.Inc(cs.id)
+			if perr != nil {
+				s.met.resyncs.Inc(cs.id)
+			}
+		}
+		err := s.handle(f, perr, w, cs)
+		wire.PutBuf(f.Payload)
 		if err != nil {
 			cs.log.Warn("write failed", "err", err)
 			return
 		}
-	batch:
-		for n < s.cfg.MaxBatch {
-			select {
-			case r2, ok := <-reqs:
-				if !ok {
-					break batch
-				}
-				n++
-				err := s.handle(r2, w, cs)
-				wire.PutBuf(r2.f.Payload)
-				if err != nil {
-					cs.log.Warn("write failed", "err", err)
-					return
-				}
-			default:
-				break batch
-			}
+		n++
+		if n < maxBatch && frameBuffered(br) {
+			continue
 		}
 		if err := w.flush(); err != nil {
 			return
@@ -572,8 +475,21 @@ func (s *Server) serveConn(c net.Conn) {
 			s.met.flushes.Add(cs.id, w.flushes-flushed)
 			flushed = w.flushes
 		}
+		n = 0
 	}
-	w.flush()
+}
+
+// frameBuffered reports whether br already holds the whole next frame,
+// so reading it cannot block. Buffered is tested before Peek because
+// Peek blocks until the bytes it asks for arrive. The 12-byte minimum
+// (length prefix plus header) also covers a malformed length below the
+// header size, which FrameReader rejects only after reading 12 bytes.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 12 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return br.Buffered() >= 4+int(binary.BigEndian.Uint32(hdr))
 }
 
 func isEOF(err error) bool {
@@ -639,11 +555,12 @@ func (q *servedQueue) durFailed(cs connState, op string, err error) {
 // Request decoding uses the zero-copy views — queue names and item
 // values alias f.Payload — so everything a request hands the queue is
 // copied into a pooled envelope before handle returns, and the caller
-// recycles the payload right after.
-func (s *Server) handle(r connReq, w *respWriter, cs connState) error {
-	f := r.f
-	if r.protoErr != nil {
-		return s.replyErr(w, f.ID, "%v (frame version %d, flags ignored until version matches)", r.protoErr, f.Version)
+// recycles the payload right after. protoErr is a recoverable per-frame
+// protocol error (bad version or flags): the frame was consumed from the
+// stream, and handle replies TError instead of dispatching it.
+func (s *Server) handle(f wire.Frame, protoErr error, w *respWriter, cs connState) error {
+	if protoErr != nil {
+		return s.replyErr(w, f.ID, "%v (frame version %d, flags ignored until version matches)", protoErr, f.Version)
 	}
 	switch f.Type {
 	case wire.TInsert:

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"log/slog"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -22,7 +24,7 @@ func netDial(addr string) (net.Conn, error) {
 // its address; cleanup tears it down.
 func startServer(t *testing.T, specs ...QueueSpec) (*Server, string) {
 	t.Helper()
-	s := New(Config{Concurrency: 8})
+	s := New(Config{Concurrency: 8, Logger: testLogger(t)})
 	for _, spec := range specs {
 		if err := s.AddQueue(spec); err != nil {
 			t.Fatal(err)
@@ -46,6 +48,19 @@ func startServer(t *testing.T, specs ...QueueSpec) (*Server, string) {
 		<-done
 	})
 	return s, addr
+}
+
+// testLogger routes slog output to t.Log, so diagnostics show up next
+// to the test that produced them.
+func testLogger(t testing.TB) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testLogWriter{t}, nil))
+}
+
+type testLogWriter struct{ t testing.TB }
+
+func (w testLogWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }
 
 func dialClient(t *testing.T, addr string, tweak ...func(*pqclient.Config)) *pqclient.Client {
@@ -326,6 +341,52 @@ func TestRawWireErrors(t *testing.T) {
 	}
 	if f, err = wire.ReadFrame(nc); err != nil || f.ID != 22 {
 		t.Fatalf("after bad-version frame: %v %v", f.Type, err)
+	}
+}
+
+// TestFlushBeforePartialFrame pins the serve loop's flush rule: a
+// response is flushed as soon as the next request is not complete in
+// the read buffer, even when some of its bytes already arrived. A loop
+// that flushes only once the read buffer is empty would hold frame A's
+// response while it blocks reading the rest of frame B.
+func TestFlushBeforePartialFrame(t *testing.T) {
+	_, addr := startServer(t, QueueSpec{Name: "jobs", Algorithm: pq.SimpleLinear, Priorities: 4})
+	insert := func(id uint32) []byte {
+		return wire.AppendFrame(nil, wire.Frame{Type: wire.TInsert, ID: id,
+			Payload: wire.Insert{Queue: "jobs", Item: wire.Item{Pri: 1, Value: []byte("value")}}.Append(nil)})
+	}
+	for _, tc := range []struct {
+		name string
+		cut  int // bytes of frame B sent along with frame A
+	}{
+		{"partial-length", 2},
+		{"partial-body", len(insert(0)) - 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nc, err := netDial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			a, b := insert(1), insert(2)
+			if _, err := nc.Write(append(a, b[:tc.cut]...)); err != nil {
+				t.Fatal(err)
+			}
+			nc.SetReadDeadline(time.Now().Add(3 * time.Second))
+			f, err := wire.ReadFrame(nc)
+			if err != nil {
+				t.Fatalf("frame A's response while frame B is incomplete: %v", err)
+			}
+			if f.Type != wire.TInsertOK || f.ID != 1 {
+				t.Fatalf("frame A: got %v id=%d, want INSERT_OK id=1", f.Type, f.ID)
+			}
+			if _, err := nc.Write(b[tc.cut:]); err != nil {
+				t.Fatal(err)
+			}
+			if f, err = wire.ReadFrame(nc); err != nil || f.Type != wire.TInsertOK || f.ID != 2 {
+				t.Fatalf("frame B: got %v id=%d err=%v, want INSERT_OK id=2", f.Type, f.ID, err)
+			}
+		})
 	}
 }
 

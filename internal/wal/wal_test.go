@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,7 +15,7 @@ import (
 
 func openT(t *testing.T, dir string, mod func(*Options)) (*Log, Recovery) {
 	t.Helper()
-	opts := Options{Dir: dir, Policy: SyncNever, Logf: t.Logf}
+	opts := Options{Dir: dir, Policy: SyncNever, Logger: testLogger(t)}
 	if mod != nil {
 		mod(&opts)
 	}
@@ -22,6 +24,19 @@ func openT(t *testing.T, dir string, mod func(*Options)) (*Log, Recovery) {
 		t.Fatalf("Open(%s): %v", dir, err)
 	}
 	return l, rec
+}
+
+// testLogger routes slog output to t.Log, so diagnostics show up next
+// to the test that produced them.
+func testLogger(t testing.TB) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testLogWriter{t}, nil))
+}
+
+type testLogWriter struct{ t testing.TB }
+
+func (w testLogWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }
 
 func liveMap(items []Item) map[uint64]Item {

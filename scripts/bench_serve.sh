@@ -1,11 +1,16 @@
 #!/bin/sh
 # Serving hot-path gate: run BenchmarkServeLoopback (the raw-wire
-# loopback benchmark of the request→response path) and fail if
+# loopback benchmark of the request→response path) at GOMAXPROCS 1 and
+# 2 (-cpu 1,2) and fail if
 #
-#   1. any steady-state sub-benchmark allocates (allocs/op > 0) — the
-#      zero-allocation contract of the serving path, or
-#   2. throughput regressed more than MAX_LOSS vs the checked-in
-#      baseline in scripts/bench_serve_baseline.json.
+#   1. any steady-state sub-benchmark allocates (allocs/op > 0) at
+#      either GOMAXPROCS — the zero-allocation contract of the serving
+#      path, or
+#   2. GOMAXPROCS=1 throughput regressed more than MAX_LOSS vs the
+#      checked-in baseline in scripts/bench_serve_baseline.json.
+#
+# Rows are matched by exact name: "insert_delete" is the GOMAXPROCS=1
+# row and "insert_delete-2" the GOMAXPROCS=2 one.
 #
 # The baseline is deliberately conservative (recorded well below the
 # numbers observed on the reference container) because absolute ops/s
@@ -30,24 +35,24 @@ BENCHTIME=${BENCHTIME:-1s}
 mkdir -p "$OUT_DIR"
 RAW=$OUT_DIR/bench-serve.txt
 
-$GO test -run '^$' -bench BenchmarkServeLoopback -benchmem \
+$GO test -run '^$' -bench BenchmarkServeLoopback -benchmem -cpu 1,2 \
   -benchtime "$BENCHTIME" -count "$COUNT" ./internal/server | tee "$RAW"
 
-# best_ops <sub-benchmark name> — max ops/s over the runs.
+# best_ops <row name> — max ops/s over the runs.
 best_ops() {
   awk -v name="$1" '
-    index($1, "BenchmarkServeLoopback/" name) == 1 {
+    $1 == "BenchmarkServeLoopback/" name {
       for (i = 2; i < NF; i++) if ($(i+1) == "ops/s" && $i > best) best = $i
     }
     END { if (best == "") exit 1; print best }
   ' "$RAW"
 }
 
-# max_allocs <sub-benchmark name> — worst allocs/op over the runs.
+# max_allocs <row name> — worst allocs/op over the runs.
 max_allocs() {
   awk -v name="$1" '
     BEGIN { worst = -1 }
-    index($1, "BenchmarkServeLoopback/" name) == 1 {
+    $1 == "BenchmarkServeLoopback/" name {
       for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op" && $i > worst) worst = $i
     }
     END { if (worst < 0) exit 1; print worst }
@@ -78,12 +83,14 @@ fi
 
 fail=0
 for b in $BENCHES; do
-  allocs=$(max_allocs "$b") || { echo "bench_serve: no allocs/op parsed for $b" >&2; exit 1; }
+  for row in "$b" "$b-2"; do
+    allocs=$(max_allocs "$row") || { echo "bench_serve: no allocs/op parsed for $row" >&2; exit 1; }
+    if [ "$allocs" != "0" ]; then
+      echo "bench_serve: FAIL: $row allocates ($allocs allocs/op, want 0)" >&2
+      fail=1
+    fi
+  done
   ops=$(best_ops "$b") || { echo "bench_serve: no ops/s parsed for $b" >&2; exit 1; }
-  if [ "$allocs" != "0" ]; then
-    echo "bench_serve: FAIL: $b allocates ($allocs allocs/op, want 0)" >&2
-    fail=1
-  fi
   base=$(sed -n "s/.*\"${b}_ops_per_sec\": *\([0-9.]*\).*/\1/p" "$BASELINE")
   if [ -z "$base" ]; then
     echo "bench_serve: no baseline for $b in $BASELINE" >&2
@@ -95,7 +102,7 @@ for b in $BENCHES; do
     echo "bench_serve: FAIL: $b throughput $ops ops/s under baseline $base (max loss $MAX_LOSS)" >&2
     fail=1
   else
-    echo "bench_serve: $b: $ops ops/s (baseline $base), $allocs allocs/op"
+    echo "bench_serve: $b: $ops ops/s (baseline $base), 0 allocs/op at GOMAXPROCS 1 and 2"
   fi
 done
 
