@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-relaxed bench-serve figures repro repro-quick chaos-quick examples vet fmt lint pqd pqload loadtest-quick loadtest-durable loadtest-obs admin-smoke cluster-smoke
+.PHONY: all build test race bench bench-json bench-relaxed bench-serve figures repro repro-quick chaos-quick examples vet fmt lint pqd pqload loadtest-quick loadtest-durable admin-smoke cluster-smoke
 
 all: build test
 
@@ -86,11 +86,6 @@ loadtest-quick:
 # bench file; fails if durable throughput falls below half of memory.
 loadtest-durable:
 	GO="$(GO)" sh ./scripts/loadtest_durable.sh
-
-# Metrics overhead: the same workload with recording on and off; fails
-# if the metrics-on run lost more than MAX_LOSS throughput.
-loadtest-obs:
-	GO="$(GO)" sh ./scripts/loadtest_obs.sh
 
 # Admin endpoint smoke: boot pqd with -admin-addr, probe the health
 # endpoints, and assert every required /metrics family is present.

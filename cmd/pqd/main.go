@@ -85,7 +85,6 @@ func run(args []string) error {
 		adminAddr = fs.String("admin-addr", "", "admin HTTP listen address (/metrics, /healthz, /readyz, /statusz, /debug/pprof); empty disables")
 		slowOp    = fs.Duration("slow-op", 0, "warn-log queue ops slower than this (0 disables)")
 		logFormat = fs.String("log-format", "text", "log output format: text or json")
-		metrics   = fs.Bool("metrics", true, "record server-side metrics (off measures recording overhead)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -121,7 +120,6 @@ func run(args []string) error {
 		Concurrency:      *conc,
 		Logger:           logger,
 		SlowOp:           *slowOp,
-		NoMetrics:        !*metrics,
 		AllowRelaxed:     *relaxed,
 		DataDir:          *dataDir,
 		Fsync:            fsyncPolicy,

@@ -172,10 +172,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	s.mu.RUnlock()
 	sort.Slice(queues, func(i, j int) bool { return queues[i].spec.Name < queues[j].spec.Name })
 	for _, q := range queues {
-		qs := quStat{QueueStats: q.stats()}
-		if q.met != nil {
-			qs.SlowOps = q.met.slowOps.Load()
-		}
+		qs := quStat{QueueStats: q.stats(), SlowOps: q.met.slowOps.Load()}
 		for _, it := range q.peek(items) {
 			qs.Items = append(qs.Items, itemPreview{
 				Pri: it.Pri, Bytes: len(it.Value), Value: previewValue(it.Value)})

@@ -98,8 +98,6 @@ func TestClusterMisrouteNACK(t *testing.T) {
 	}
 
 	// Batch with one misrouted member: NACKed whole, nothing admitted.
-	// (The pooled client resends coalesced batches solo, so send an
-	// explicit batch.)
 	n, err := cl.InsertBatch(ctx, "jobs", []pqclient.Item{
 		{Pri: 4, Value: []byte("a")},
 		{Pri: 25, Value: []byte("b")}, // node 2's range
@@ -133,7 +131,7 @@ func TestClusterMisrouteNACK(t *testing.T) {
 		t.Fatal("cluster node stats missing cluster block")
 	}
 	if st.Cluster.Misroutes != 2 {
-		t.Fatalf("misroutes = %d, want 2 (solo + batch)", st.Cluster.Misroutes)
+		t.Fatalf("misroutes = %d, want 2 (insert + batch)", st.Cluster.Misroutes)
 	}
 	if st.Cluster.Self != addrs[0] || st.Cluster.MapVersion != m.Version {
 		t.Fatalf("cluster block identity: %+v", st.Cluster)

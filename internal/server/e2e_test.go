@@ -160,15 +160,12 @@ func TestLoopbackEndToEnd(t *testing.T) {
 		len(acked), len(deleted), sheds, st.RetryAfter)
 }
 
-// TestPipelinedCoalescing pushes many concurrent inserts through one
-// connection so the client's batch coalescing engages, then verifies
+// TestPipelinedInserts pushes many concurrent inserts through one
+// connection, so their frames pipeline and share flushes, then verifies
 // nothing was lost or duplicated.
-func TestPipelinedCoalescing(t *testing.T) {
+func TestPipelinedInserts(t *testing.T) {
 	_, addr := startServer(t, QueueSpec{Name: "jobs", Algorithm: pq.SimpleTree, Priorities: 32})
-	c := dialClient(t, addr, func(cfg *pqclient.Config) {
-		cfg.Conns = 1
-		cfg.MaxCoalesce = 16
-	})
+	c := dialClient(t, addr, func(cfg *pqclient.Config) { cfg.Conns = 1 })
 	ctx := context.Background()
 
 	const n = 400

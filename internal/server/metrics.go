@@ -14,9 +14,8 @@ import (
 // cycle-accurate tracing): every request the server handles is timed
 // and counted into lock-free striped structures (internal/obs), keyed
 // by queue, operation, and shard. The recording path is allocation-
-// free; Config.NoMetrics removes it entirely for overhead comparisons.
-// The numbers surface three ways: the Prometheus /metrics endpoint
-// (admin.go), the JSON /statusz snapshot, and the STATS op's
+// free. The numbers surface three ways: the Prometheus /metrics
+// endpoint (admin.go), the JSON /statusz snapshot, and the STATS op's
 // stats_version 3 latency sections.
 
 // qOp enumerates the request kinds recorded per queue.
@@ -113,13 +112,9 @@ func distFromHist(s obs.HistSnapshot) wire.Dist {
 	}
 }
 
-// latencyStats builds the STATS v3 latency section; nil when metrics
-// are disabled.
+// latencyStats builds the STATS v3 latency section.
 func (q *servedQueue) latencyStats() *wire.ServerLatencyStats {
 	m := q.met
-	if m == nil {
-		return nil
-	}
 	return &wire.ServerLatencyStats{
 		Insert:         distFromHist(m.lat[opInsert].Snapshot()),
 		InsertBatch:    distFromHist(m.lat[opInsertBatch].Snapshot()),
@@ -165,9 +160,6 @@ func (s *Server) writeProm(w io.Writer) error {
 
 	p.Header("pq_queue_ops_total", "counter", "Requests handled, by queue and operation.")
 	for _, q := range queues {
-		if q.met == nil {
-			continue
-		}
 		for op := qOp(0); op < nQOps; op++ {
 			p.Sample("pq_queue_ops_total",
 				obs.Labels(map[string]string{"queue": q.spec.Name, "op": qOpNames[op]}),
@@ -176,9 +168,6 @@ func (s *Server) writeProm(w io.Writer) error {
 	}
 	p.Header("pq_queue_op_latency_seconds", "histogram", "Server-side op service time (queue mutation only, excludes decode and socket writes).")
 	for _, q := range queues {
-		if q.met == nil {
-			continue
-		}
 		for _, op := range mutationOps {
 			p.Histogram("pq_queue_op_latency_seconds",
 				obs.Labels(map[string]string{"queue": q.spec.Name, "op": qOpNames[op]}),
@@ -187,9 +176,6 @@ func (s *Server) writeProm(w io.Writer) error {
 	}
 	p.Header("pq_queue_slow_ops_total", "counter", "Ops that exceeded the slow-op log threshold.")
 	for _, q := range queues {
-		if q.met == nil {
-			continue
-		}
 		p.Sample("pq_queue_slow_ops_total",
 			obs.Labels(map[string]string{"queue": q.spec.Name}), float64(q.met.slowOps.Load()))
 	}
@@ -258,9 +244,6 @@ func (s *Server) writeProm(w io.Writer) error {
 	p.Header("pq_queue_shard_inserts_total", "counter", "Items routed to each priority-range shard.")
 	p.Header("pq_queue_shard_deletes_total", "counter", "Items delivered from each priority-range shard.")
 	for _, q := range queues {
-		if q.met == nil {
-			continue
-		}
 		for si := range q.met.shardIns {
 			lbl := obs.Labels(map[string]string{"queue": q.spec.Name, "shard": itoa(si)})
 			p.Sample("pq_queue_shard_inserts_total", lbl, float64(q.met.shardIns[si].Load()))

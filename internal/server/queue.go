@@ -91,9 +91,9 @@ type servedQueue struct {
 	retryAfter   atomic.Int64
 	durErrors    atomic.Int64
 
-	// met holds the per-op latency histograms and shard counters; nil
-	// when the server runs with Config.NoMetrics. walMet, when non-nil,
-	// is the instrumentation hook handed to the queue's WAL.
+	// met holds the per-op latency histograms and shard counters.
+	// walMet, set only on durable queues, is the instrumentation hook
+	// handed to the queue's WAL.
 	met    *queueMetrics
 	walMet *obs.WALMetrics
 
@@ -197,6 +197,7 @@ func newServedQueue(spec QueueSpec, concurrency int) (*servedQueue, error) {
 	if pq.IsRelaxed(spec.Algorithm) && spec.Shards > 1 {
 		q.rank = &crossRank{occ: make([]atomic.Int64, spec.Shards)}
 	}
+	q.met = newQueueMetrics(concurrency, len(q.shards))
 	return q, nil
 }
 
@@ -263,16 +264,15 @@ func (q *servedQueue) insert(it wire.Item) (insertStatus, error) {
 	return insOK, nil
 }
 
-// noteShardIns / noteShardDel feed the per-shard routing counters; both
-// are no-ops when metrics are off.
+// noteShardIns / noteShardDel feed the per-shard routing counters.
 func (q *servedQueue) noteShardIns(shard, n int) {
-	if q.met != nil && n > 0 {
+	if n > 0 {
 		q.met.shardIns[shard].Add(int64(n))
 	}
 }
 
 func (q *servedQueue) noteShardDel(shard, n int) {
-	if q.met != nil && n > 0 {
+	if n > 0 {
 		q.met.shardDel[shard].Add(int64(n))
 	}
 }

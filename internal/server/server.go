@@ -47,11 +47,6 @@ type Config struct {
 	// Warn level and counts it in pq_queue_slow_ops_total. 0 disables
 	// slow-op logging.
 	SlowOp time.Duration
-	// NoMetrics disables the server-side metrics recording (per-op
-	// latency histograms, protocol and shard counters). The admin
-	// endpoint still serves; histogram families are simply absent.
-	// Exists so the recording overhead can be measured.
-	NoMetrics bool
 	// AllowRelaxed permits queues backed by relaxed algorithms
 	// (pq.MultiQueue): delete-min may return an item while strictly
 	// better items remain queued. Off by default so a client that
@@ -106,11 +101,10 @@ type Server struct {
 	connsWG  sync.WaitGroup
 	shutdown atomic.Bool
 
-	// met aggregates protocol-level series; metricsOn gates every
-	// recording site (Config.NoMetrics). nextConnID numbers connections
-	// for log correlation and doubles as the metric stripe hint.
+	// met aggregates protocol-level series. nextConnID numbers
+	// connections for log correlation and doubles as the metric stripe
+	// hint.
 	met        *serverMetrics
-	metricsOn  bool
 	nextConnID atomic.Uint64
 
 	// cluster, when set (SetClusterMap), makes this server one node of
@@ -124,11 +118,10 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg.normalize()
 	return &Server{
-		cfg:       cfg,
-		queues:    make(map[string]*servedQueue),
-		conns:     make(map[net.Conn]struct{}),
-		met:       newServerMetrics(cfg.Concurrency),
-		metricsOn: !cfg.NoMetrics,
+		cfg:    cfg,
+		queues: make(map[string]*servedQueue),
+		conns:  make(map[net.Conn]struct{}),
+		met:    newServerMetrics(cfg.Concurrency),
 	}
 }
 
@@ -154,16 +147,11 @@ func (s *Server) AddQueue(spec QueueSpec) error {
 	if err != nil {
 		return err
 	}
-	if s.metricsOn {
-		q.met = newQueueMetrics(s.cfg.Concurrency, len(q.shards))
-	}
 	if s.cfg.DataDir != "" {
-		if s.metricsOn {
-			// One stripe: the wal writer goroutine is the only recorder.
-			q.walMet = &obs.WALMetrics{
-				FsyncNanos:    obs.NewHistogram(1, obs.LatencyMinShift, obs.LatencyMaxShift),
-				CommitRecords: obs.NewHistogram(1, 0, 20),
-			}
+		// One stripe: the wal writer goroutine is the only recorder.
+		q.walMet = &obs.WALMetrics{
+			FsyncNanos:    obs.NewHistogram(1, obs.LatencyMinShift, obs.LatencyMaxShift),
+			CommitRecords: obs.NewHistogram(1, 0, 20),
 		}
 		l, rec, err := wal.Open(wal.Options{
 			Dir:          filepath.Join(s.cfg.DataDir, spec.Name),
@@ -424,18 +412,12 @@ func (s *Server) serveConn(c net.Conn) {
 
 	cs := connState{id: s.nextConnID.Add(1)}
 	cs.log = s.cfg.Logger.With("conn", cs.id, "remote", c.RemoteAddr().String())
-	var src io.Reader = c
-	var dst io.Writer = c
-	if s.metricsOn {
-		s.met.connsAccepted.Add(1)
-		s.met.connsActive.Add(1)
-		defer s.met.connsActive.Add(-1)
-		src = &countingReader{r: c, n: s.met.bytesRead, hint: cs.id}
-		dst = &countingWriter{w: c, n: s.met.bytesWritten, hint: cs.id}
-	}
-	br := getConnReader(src)
+	s.met.connsAccepted.Add(1)
+	s.met.connsActive.Add(1)
+	defer s.met.connsActive.Add(-1)
+	br := getConnReader(&countingReader{r: c, n: s.met.bytesRead, hint: cs.id})
 	defer putConnReader(br)
-	w := getRespWriter(dst)
+	w := getRespWriter(&countingWriter{w: c, n: s.met.bytesWritten, hint: cs.id})
 	defer w.release()
 
 	var fr wire.FrameReader
@@ -450,11 +432,9 @@ func (s *Server) serveConn(c net.Conn) {
 			w.flush() // best effort: the connection ends either way
 			return
 		}
-		if s.metricsOn {
-			s.met.framesRead.Inc(cs.id)
-			if perr != nil {
-				s.met.resyncs.Inc(cs.id)
-			}
+		s.met.framesRead.Inc(cs.id)
+		if perr != nil {
+			s.met.resyncs.Inc(cs.id)
 		}
 		err := s.handle(f, perr, w, cs)
 		wire.PutBuf(f.Payload)
@@ -469,12 +449,10 @@ func (s *Server) serveConn(c net.Conn) {
 		if err := w.flush(); err != nil {
 			return
 		}
-		if s.metricsOn {
-			s.met.framesWritten.Add(cs.id, int64(n))
-			s.met.pipelineDepth.Observe(cs.id, int64(n))
-			s.met.flushes.Add(cs.id, w.flushes-flushed)
-			flushed = w.flushes
-		}
+		s.met.framesWritten.Add(cs.id, int64(n))
+		s.met.pipelineDepth.Observe(cs.id, int64(n))
+		s.met.flushes.Add(cs.id, w.flushes-flushed)
+		flushed = w.flushes
 		n = 0
 	}
 }
@@ -520,9 +498,6 @@ func (s *Server) replyRetry(w *respWriter, id uint32) error {
 // latency, and log it when it crossed the slow-op threshold.
 func (s *Server) opDone(q *servedQueue, op qOp, t0 time.Time, cs connState) {
 	m := q.met
-	if m == nil {
-		return
-	}
 	m.ops[op].Inc(cs.id)
 	if m.lat[op] == nil {
 		return // counted but not timed (stats, drain)
@@ -533,15 +508,6 @@ func (s *Server) opDone(q *servedQueue, op qOp, t0 time.Time, cs connState) {
 		m.slowOps.Add(1)
 		cs.log.Warn("slow op", "queue", q.spec.Name, "op", qOpNames[op], "duration", d)
 	}
-}
-
-// opClock stamps the start of a timed operation; zero when metrics are
-// off so the fast path skips the clock read entirely.
-func (q *servedQueue) opClock() time.Time {
-	if q.met == nil {
-		return time.Time{}
-	}
-	return time.Now()
 }
 
 // durFailed notes a mutation refused with a durability error — the
@@ -579,7 +545,7 @@ func (s *Server) handle(f wire.Frame, protoErr error, w *respWriter, cs connStat
 			int(m.Item.Pri) < q.spec.Priorities && !cl.owns(int(m.Item.Pri)) {
 			return s.replyWrongNode(w, f.ID, cl, int(m.Item.Pri))
 		}
-		t0 := q.opClock()
+		t0 := time.Now()
 		st, err := q.insert(m.Item)
 		s.opDone(q, opInsert, t0, cs)
 		switch st {
@@ -607,8 +573,8 @@ func (s *Server) handle(f wire.Frame, protoErr error, w *respWriter, cs connStat
 		}
 		// Validate the whole batch before admitting any of it, so a
 		// batch is either a protocol error or an admitted prefix. The
-		// error names the offending index: a client that coalesced
-		// unrelated inserts can tell whose item was bad. A misrouted
+		// error names the offending index, so the caller can tell which
+		// item was bad. A misrouted
 		// member NACKs the whole batch un-admitted: the batch is not a
 		// prefix-acceptance case, because every member needs re-routing
 		// by a client whose map is demonstrably stale.
@@ -624,7 +590,7 @@ func (s *Server) handle(f wire.Frame, protoErr error, w *respWriter, cs connStat
 				return s.replyWrongNode(w, f.ID, cl, int(it.Pri))
 			}
 		}
-		t0 := q.opClock()
+		t0 := time.Now()
 		accepted, err := q.insertBatch(m.Items)
 		s.opDone(q, opInsertBatch, t0, cs)
 		if err != nil {
@@ -648,7 +614,7 @@ func (s *Server) handle(f wire.Frame, protoErr error, w *respWriter, cs connStat
 		if q == nil {
 			return s.replyErr(w, f.ID, "no such queue %q", m.Queue)
 		}
-		t0 := q.opClock()
+		t0 := time.Now()
 		env, ok, err := q.deleteMinEnv()
 		s.opDone(q, opDeleteMin, t0, cs)
 		if err != nil {
@@ -678,7 +644,7 @@ func (s *Server) handle(f wire.Frame, protoErr error, w *respWriter, cs connStat
 		// max, so the TItems frame always fits under wire.MaxFrame; a
 		// short response just means the client should ask again.
 		scratch := getEnvs()
-		t0 := q.opClock()
+		t0 := time.Now()
 		envs, err := q.deleteMinBatch(max, wire.MaxPayload, (*scratch)[:0])
 		s.opDone(q, opDeleteMinBatch, t0, cs)
 		if err != nil {

@@ -573,18 +573,14 @@ func TestClientRejectsOversizedRequests(t *testing.T) {
 	}
 }
 
-// TestCoalescedErrorNotFateShared mixes valid inserts with out-of-range
-// priorities on one heavily-coalesced connection: the server TErrors any
-// batch containing a bad item, so the client must resend coalesced
-// members individually — valid inserts all succeed, invalid ones all
-// fail with ServerError, and nothing is lost or duplicated.
-func TestCoalescedErrorNotFateShared(t *testing.T) {
+// TestBadInsertDoesNotFailNeighbours mixes valid inserts with
+// out-of-range priorities, all pipelined on one shared connection: each
+// bad insert fails alone with ServerError, every valid one succeeds, and
+// nothing is lost or duplicated.
+func TestBadInsertDoesNotFailNeighbours(t *testing.T) {
 	const pris = 8
 	_, addr := startServer(t, QueueSpec{Name: "jobs", Algorithm: pq.SimpleLinear, Priorities: pris})
-	c := dialClient(t, addr, func(cfg *pqclient.Config) {
-		cfg.Conns = 1
-		cfg.MaxCoalesce = 16
-	})
+	c := dialClient(t, addr, func(cfg *pqclient.Config) { cfg.Conns = 1 })
 	ctx := context.Background()
 
 	const n = 240
@@ -616,7 +612,7 @@ func TestCoalescedErrorNotFateShared(t *testing.T) {
 			continue
 		}
 		if err != nil {
-			t.Errorf("valid insert %d fate-shared a batch error: %v", i, err)
+			t.Errorf("valid insert %d failed beside a bad one: %v", i, err)
 			continue
 		}
 		valid++

@@ -46,8 +46,8 @@ type QueueStats struct {
 	// attached.
 	Durability *DurabilityStats `json:"durability,omitempty"`
 	// Latency carries server-measured per-op service-time
-	// distributions (stats_version >= 3; absent when the server runs
-	// with metrics disabled). Server-side numbers exclude the network
+	// distributions (stats_version >= 3; absent from older servers).
+	// Server-side numbers exclude the network
 	// and client stack, so comparing them with client-observed
 	// latencies separates queue cost from wire cost.
 	Latency *ServerLatencyStats `json:"latency,omitempty"`

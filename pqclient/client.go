@@ -1,13 +1,14 @@
 // Package pqclient is the client library for pqd, the priority-queue
 // daemon (see internal/server and cmd/pqd).
 //
-// A Client owns a small pool of TCP connections, pipelines requests on
-// each of them, and transparently coalesces concurrent Insert calls to
-// the same queue into INSERT_BATCH frames. Admission-control sheds
-// (RETRY_AFTER) are retried with jittered backoff up to Config.MaxRetries
-// before surfacing as ErrOverload; retries only ever happen on an
-// explicit reject from the server, so a retried insert can never be
-// applied twice.
+// A Client owns a small pool of TCP connections and pipelines requests
+// on each of them: every call is one request frame, and a connection's
+// writes are flushed together whenever its send queue runs dry. Callers
+// that want fewer frames batch explicitly with InsertBatch and
+// DeleteMinBatch. Admission-control sheds (RETRY_AFTER) are retried
+// with jittered backoff up to Config.MaxRetries before surfacing as
+// ErrOverload; retries only ever happen on an explicit reject from the
+// server, so a retried insert can never be applied twice.
 package pqclient
 
 import (
@@ -29,10 +30,6 @@ type Config struct {
 	Addr string
 	// Conns is the connection-pool size. Default 2.
 	Conns int
-	// MaxCoalesce caps how many concurrent Inserts to one queue merge
-	// into a single INSERT_BATCH frame. Default 32; 1 disables
-	// coalescing.
-	MaxCoalesce int
 	// DialTimeout bounds connection establishment. Default 5s.
 	DialTimeout time.Duration
 	// RequestTimeout applies to requests whose context carries no
@@ -53,12 +50,6 @@ func (c *Config) normalize() error {
 	}
 	if c.Conns <= 0 {
 		c.Conns = 2
-	}
-	if c.MaxCoalesce <= 0 {
-		c.MaxCoalesce = 32
-	}
-	if c.MaxCoalesce > wire.MaxBatchItems {
-		c.MaxCoalesce = wire.MaxBatchItems
 	}
 	if c.DialTimeout == 0 {
 		c.DialTimeout = 5 * time.Second

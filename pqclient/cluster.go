@@ -63,7 +63,6 @@ type ClusterConfig struct {
 	// Per-node connection tuning, applied to every node's Client pool;
 	// zero values take the Config defaults.
 	Conns          int
-	MaxCoalesce    int
 	DialTimeout    time.Duration
 	RequestTimeout time.Duration
 	MaxRetries     int
@@ -78,7 +77,6 @@ func (c *ClusterConfig) nodeConfig(addr string) Config {
 	return Config{
 		Addr:           addr,
 		Conns:          c.Conns,
-		MaxCoalesce:    c.MaxCoalesce,
 		DialTimeout:    c.DialTimeout,
 		RequestTimeout: c.RequestTimeout,
 		MaxRetries:     c.MaxRetries,

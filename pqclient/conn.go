@@ -11,15 +11,14 @@ import (
 )
 
 // call is one logical request. Insert calls (kind TInsert) carry their
-// item for coalescing; every other kind arrives with its payload
-// pre-encoded. The conn closes done exactly once with err (and, for
-// non-insert kinds, resp) set.
+// item, encoded on the writer goroutine; every other kind arrives with
+// its payload pre-encoded. The conn closes done exactly once with err
+// (and resp) set.
 type call struct {
 	kind    wire.Type
 	queue   string
 	item    wire.Item // TInsert only
 	payload []byte    // every other kind
-	solo    bool      // never coalesce (set when resent after a batch TError)
 
 	resp wire.Frame
 	err  error
@@ -31,31 +30,27 @@ func (cl *call) finish(resp wire.Frame, err error) {
 	close(cl.done)
 }
 
-// pending is what one request id resolves: a single call, or the
-// member calls of a coalesced INSERT_BATCH in wire order.
-type pending struct {
-	calls []*call
-}
+// sendQueue is how many calls may wait for a conn's writer; callers
+// beyond it block in Client.do until the writer catches up or their
+// context ends. The writer flushes only once the queue is empty, so a
+// burst of pipelined calls up to this size shares one write.
+const sendQueue = 128
 
 // conn is one pooled connection: a writer goroutine that drains sendCh
-// (coalescing adjacent same-queue inserts and flushing only when the
-// pipeline runs dry) and a reader goroutine that matches response
-// frames to pending requests by id.
+// (one frame per call, flushing only when the pipeline runs dry) and a
+// reader goroutine that matches response frames to pending calls by id.
 type conn struct {
-	cfg Config
-	nc  net.Conn
+	nc net.Conn
 
 	sendCh chan *call
 
-	// Encode scratch, touched only by the writeLoop goroutine: frames
-	// are built in enc and written in one go, and coalesced batches
-	// borrow itemsScratch, so the steady-state send path reuses the
-	// same buffers instead of allocating per call.
-	enc          []byte
-	itemsScratch []wire.Item
+	// Encode scratch, touched only by the writeLoop goroutine: each
+	// frame is built in enc and written in one go, so the steady-state
+	// send path reuses one buffer instead of allocating per call.
+	enc []byte
 
 	mu      sync.Mutex
-	pend    map[uint32]pending
+	pend    map[uint32]*call
 	nextID  uint32
 	err     error
 	closed  chan struct{}
@@ -68,10 +63,9 @@ func dialConn(cfg Config) (*conn, error) {
 		return nil, err
 	}
 	c := &conn{
-		cfg:    cfg,
 		nc:     nc,
-		sendCh: make(chan *call, 4*cfg.MaxCoalesce),
-		pend:   make(map[uint32]pending),
+		sendCh: make(chan *call, sendQueue),
+		pend:   make(map[uint32]*call),
 		closed: make(chan struct{}),
 	}
 	go c.writeLoop()
@@ -102,14 +96,12 @@ func (c *conn) close(err error) {
 			c.err = err
 		}
 		failed := c.pend
-		c.pend = map[uint32]pending{}
+		c.pend = map[uint32]*call{}
 		c.mu.Unlock()
 		close(c.closed)
 		c.nc.Close()
-		for _, p := range failed {
-			for _, cl := range p.calls {
-				cl.finish(wire.Frame{}, err)
-			}
+		for _, cl := range failed {
+			cl.finish(wire.Frame{}, err)
 		}
 		// Fail whatever is parked in the send queue; producers racing
 		// with this drain see c.closed in their select.
@@ -124,8 +116,8 @@ func (c *conn) close(err error) {
 	})
 }
 
-// register assigns a request id to a group of calls.
-func (c *conn) register(calls []*call) (uint32, bool) {
+// register assigns a request id to a call.
+func (c *conn) register(cl *call) (uint32, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
@@ -133,75 +125,38 @@ func (c *conn) register(calls []*call) (uint32, bool) {
 	}
 	c.nextID++
 	id := c.nextID
-	c.pend[id] = pending{calls: calls}
+	c.pend[id] = cl
 	return id, true
 }
 
-func (c *conn) take(id uint32) (pending, bool) {
+func (c *conn) take(id uint32) (*call, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, ok := c.pend[id]
+	cl, ok := c.pend[id]
 	if ok {
 		delete(c.pend, id)
 	}
-	return p, ok
+	return cl, ok
 }
 
-// writeLoop drains sendCh. A popped Insert greedily absorbs further
-// queued Inserts to the same queue (up to MaxCoalesce) into one
-// INSERT_BATCH frame; the buffered writer is flushed only when the
-// send queue runs dry, so pipelined callers share syscalls.
+// writeLoop drains sendCh, one frame per call. The buffered writer is
+// flushed only when the send queue runs dry, so pipelined callers share
+// syscalls.
 func (c *conn) writeLoop() {
 	bw := bufio.NewWriterSize(c.nc, 64<<10)
-	var holdover *call
 	for {
 		var cl *call
-		if holdover != nil {
-			cl, holdover = holdover, nil
-		} else {
-			select {
-			case cl = <-c.sendCh:
-			case <-c.closed:
-				return
-			}
+		select {
+		case cl = <-c.sendCh:
+		case <-c.closed:
+			return
 		}
-		var werr error
-		if cl.kind == wire.TInsert && !cl.solo && c.cfg.MaxCoalesce > 1 {
-			group := []*call{cl}
-			// Bound the coalesced INSERT_BATCH by encoded payload bytes
-			// as well as item count, so the merged frame never exceeds
-			// what the server's ReadFrame accepts.
-			bytes := 2 + len(cl.queue) + 4 + 8 + len(cl.item.Value)
-		collect:
-			for len(group) < c.cfg.MaxCoalesce {
-				select {
-				case nx := <-c.sendCh:
-					if nx.kind == wire.TInsert && !nx.solo && nx.queue == cl.queue &&
-						bytes+8+len(nx.item.Value) <= wire.MaxPayload {
-						group = append(group, nx)
-						bytes += 8 + len(nx.item.Value)
-					} else {
-						holdover = nx
-						break collect
-					}
-				default:
-					break collect
-				}
-			}
-			werr = c.writeInserts(bw, group)
-		} else if cl.kind == wire.TInsert {
-			// Un-coalesced insert (solo resend or MaxCoalesce 1): its
-			// payload is still the raw item, so it must be encoded here,
-			// not written through the pre-encoded path.
-			werr = c.writeInserts(bw, []*call{cl})
-		} else {
-			werr = c.writeOne(bw, cl)
+		err := c.writeOne(bw, cl)
+		if err == nil && len(c.sendCh) == 0 {
+			err = bw.Flush()
 		}
-		if werr == nil && holdover == nil && len(c.sendCh) == 0 {
-			werr = bw.Flush()
-		}
-		if werr != nil {
-			c.close(werr)
+		if err != nil {
+			c.close(err)
 			return
 		}
 	}
@@ -214,89 +169,38 @@ func oversizedErr(n int) error {
 	return fmt.Errorf("pqclient: request payload %d bytes exceeds the %d-byte frame limit", n, wire.MaxPayload)
 }
 
-// writeInserts sends a group of same-queue inserts as one frame,
-// encoded into the conn's reusable scratch. The payload size is
-// computed up front so an oversized group is refused before a request
-// id is burned on it.
-func (c *conn) writeInserts(bw *bufio.Writer, group []*call) error {
-	var typ wire.Type
-	var size int
-	if len(group) == 1 {
-		typ = wire.TInsert
-		size = 2 + len(group[0].queue) + 8 + len(group[0].item.Value)
-	} else {
-		typ = wire.TInsertBatch
-		size = 2 + len(group[0].queue) + 4
-		for _, g := range group {
-			size += 8 + len(g.item.Value)
-		}
+// writeOne sends one call as one frame, built in the conn's reusable
+// scratch; an insert's item is encoded straight into it. The payload
+// size is checked before a request id is burned on the call.
+func (c *conn) writeOne(bw *bufio.Writer, cl *call) error {
+	size := len(cl.payload)
+	if cl.kind == wire.TInsert {
+		size = 2 + len(cl.queue) + 8 + len(cl.item.Value)
 	}
 	if size > wire.MaxPayload {
-		err := oversizedErr(size)
-		for _, g := range group {
-			g.finish(wire.Frame{}, err)
-		}
+		cl.finish(wire.Frame{}, oversizedErr(size))
 		return nil
 	}
-	id, ok := c.register(group)
+	id, ok := c.register(cl)
 	if !ok {
 		return c.closeErr()
 	}
-	buf, off := wire.BeginFrame(c.enc[:0], typ, id)
-	if typ == wire.TInsert {
-		buf = wire.Insert{Queue: group[0].queue, Item: group[0].item}.Append(buf)
+	if cl.kind == wire.TInsert {
+		buf, off := wire.BeginFrame(c.enc[:0], wire.TInsert, id)
+		c.enc = wire.EndFrame(wire.Insert{Queue: cl.queue, Item: cl.item}.Append(buf), off)
 	} else {
-		items := c.itemsScratch[:0]
-		for _, g := range group {
-			items = append(items, g.item)
-		}
-		c.itemsScratch = items[:0]
-		buf = wire.InsertBatch{Queue: group[0].queue, Items: items}.Append(buf)
+		c.enc = wire.AppendFrameHeader(c.enc[:0], cl.kind, id, len(cl.payload))
+		c.enc = append(c.enc, cl.payload...)
 	}
-	c.enc = wire.EndFrame(buf, off)
 	_, err := bw.Write(c.enc)
 	return err
-}
-
-func (c *conn) writeOne(bw *bufio.Writer, cl *call) error {
-	if len(cl.payload) > wire.MaxPayload {
-		cl.finish(wire.Frame{}, oversizedErr(len(cl.payload)))
-		return nil
-	}
-	id, ok := c.register([]*call{cl})
-	if !ok {
-		return c.closeErr()
-	}
-	c.enc = wire.AppendFrameHeader(c.enc[:0], cl.kind, id, len(cl.payload))
-	c.enc = append(c.enc, cl.payload...)
-	_, err := bw.Write(c.enc)
-	return err
-}
-
-// resendSolo re-enqueues calls marked solo so they are sent as
-// individual frames. Runs in its own goroutine: readLoop must never
-// block on a full send queue (requests ahead of it could be waiting on
-// responses this readLoop would deliver). solo calls are never
-// re-coalesced, so a second TError resolves each call individually and
-// the retry cannot loop.
-func (c *conn) resendSolo(calls []*call) {
-	go func() {
-		for _, cl := range calls {
-			cl.solo = true
-			select {
-			case c.sendCh <- cl:
-			case <-c.closed:
-				cl.finish(wire.Frame{}, c.closeErr())
-			}
-		}
-	}()
 }
 
 // readLoop matches responses to pending calls. Payloads come from the
-// wire buffer pool; a response to an insert-only group is fully decoded
-// inside deliver (Insert callers read only cl.err, never resp.Payload),
-// so those payloads can be recycled here — the insert hot path reuses
-// one pooled buffer per response instead of allocating each.
+// wire buffer pool; Insert callers read only cl.err, never
+// resp.Payload, so an insert's response is recycled here — the insert
+// hot path reuses one pooled buffer per response instead of allocating
+// each.
 func (c *conn) readLoop() {
 	br := bufio.NewReaderSize(c.nc, 64<<10)
 	var fr wire.FrameReader
@@ -306,92 +210,20 @@ func (c *conn) readLoop() {
 			c.close(err)
 			return
 		}
-		p, ok := c.take(f.ID)
+		cl, ok := c.take(f.ID)
 		if !ok {
 			wire.PutBuf(f.Payload)
-			continue // response to an abandoned request
+			continue // no request has this id: drop the stray response
 		}
-		insertOnly := true
-		for _, cl := range p.calls {
-			if cl.kind != wire.TInsert {
-				insertOnly = false
-				break
-			}
-		}
-		c.deliver(p, f)
-		if insertOnly {
+		deliver(cl, f)
+		if cl.kind == wire.TInsert {
 			wire.PutBuf(f.Payload)
 		}
 	}
 }
 
-// deliver resolves a pending entry from its response frame.
-func (c *conn) deliver(p pending, f wire.Frame) {
-	// A group of >1 calls is a coalesced INSERT_BATCH: the server
-	// admitted an in-order prefix.
-	if len(p.calls) > 1 || (len(p.calls) == 1 && p.calls[0].kind == wire.TInsert) {
-		switch f.Type {
-		case wire.TInsertOK:
-			ok, err := wire.DecodeInsertOK(f.Payload)
-			if err != nil {
-				for _, cl := range p.calls {
-					cl.finish(wire.Frame{}, &ServerError{Msg: "bad INSERT_OK payload"})
-				}
-				return
-			}
-			retry := &RetryError{After: time.Duration(ok.RetryAfterMillis) * time.Millisecond}
-			for i, cl := range p.calls {
-				if uint32(i) < ok.Accepted {
-					cl.finish(f, nil)
-				} else {
-					cl.finish(f, retry)
-				}
-			}
-		case wire.TRetryAfter:
-			ra, _ := wire.DecodeRetryAfter(f.Payload)
-			retry := &RetryError{After: time.Duration(ra.Millis) * time.Millisecond}
-			for _, cl := range p.calls {
-				cl.finish(f, retry)
-			}
-		case wire.TError:
-			if len(p.calls) > 1 {
-				// The server rejects a whole INSERT_BATCH when any
-				// member is bad (e.g. one caller's out-of-range
-				// priority). These calls were coalesced from unrelated
-				// Inserts, so don't fate-share the error: resend each
-				// member as its own un-coalesced frame and let the
-				// server judge them individually.
-				c.resendSolo(p.calls)
-				return
-			}
-			em, _ := wire.DecodeErrorMsg(f.Payload)
-			for _, cl := range p.calls {
-				cl.finish(f, &ServerError{Msg: em.Msg})
-			}
-		case wire.TWrongNode:
-			if len(p.calls) > 1 {
-				// A cluster node NACKs a whole INSERT_BATCH when any
-				// member's priority belongs to another node. Coalesced
-				// members may have different owners, so exactly like the
-				// TError arm: resend each solo and let the server judge
-				// them individually — the truly misrouted ones come back
-				// as individual WrongNodeErrors for their callers.
-				c.resendSolo(p.calls)
-				return
-			}
-			wn, _ := wire.DecodeWrongNode(f.Payload)
-			for _, cl := range p.calls {
-				cl.finish(f, &WrongNodeError{MapVersion: wn.MapVersion, Owner: wn.Owner})
-			}
-		default:
-			for _, cl := range p.calls {
-				cl.finish(f, &ServerError{Msg: "unexpected " + f.Type.String() + " response to insert"})
-			}
-		}
-		return
-	}
-
-	cl := p.calls[0]
+// deliver resolves a call from its response frame.
+func deliver(cl *call, f wire.Frame) {
 	switch f.Type {
 	case wire.TError:
 		em, _ := wire.DecodeErrorMsg(f.Payload)
@@ -403,6 +235,12 @@ func (c *conn) deliver(p pending, f wire.Frame) {
 		ra, _ := wire.DecodeRetryAfter(f.Payload)
 		cl.finish(f, &RetryError{After: time.Duration(ra.Millis) * time.Millisecond})
 	default:
+		if cl.kind == wire.TInsert && f.Type != wire.TInsertOK {
+			// An Insert caller never reads resp, so a stray response
+			// type is caught here.
+			cl.finish(f, &ServerError{Msg: "unexpected " + f.Type.String() + " response to insert"})
+			return
+		}
 		cl.finish(f, nil)
 	}
 }
