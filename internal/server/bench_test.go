@@ -23,8 +23,8 @@ import (
 //
 //	insert_delete   depth-2 pipeline (1 insert + 1 delete per iter)
 //	pipelined16     depth-16 pipeline (8 inserts + 8 deletes per iter)
-//	pipelined16_4k  same, with 4 KiB values (exercises the zero-copy
-//	                large-value response path)
+//	pipelined16_4k  same, with 4 KiB values (the value copy into the
+//	                response buffer dominates)
 func BenchmarkServeLoopback(b *testing.B) {
 	b.Run("insert_delete", func(b *testing.B) { benchServeLoopback(b, 1, 16) })
 	b.Run("pipelined16", func(b *testing.B) { benchServeLoopback(b, 8, 16) })

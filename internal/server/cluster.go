@@ -101,7 +101,7 @@ func (s *Server) replyWrongNode(w *respWriter, id uint32, cl *clusterState, pri 
 	if n, ok := cl.m.OwnerOf(pri); ok {
 		owner = cl.m.Nodes[n].Addr
 	}
-	buf, off := w.beginFrame(wire.TWrongNode, id)
+	buf, off := w.beginFrame(wire.TWrongNode, id, fixedPayload+len(owner))
 	buf = wire.WrongNode{MapVersion: cl.m.Version, Owner: owner}.Append(buf)
 	return w.endFrame(buf, off)
 }

@@ -4,281 +4,128 @@ import (
 	"bufio"
 	"encoding/binary"
 	"io"
-	"net"
 	"sync"
 
-	"pq/internal/obs"
 	"pq/internal/wire"
 )
 
 // Connection I/O for the zero-allocation serving path.
 //
-// A respWriter replaces the per-connection bufio.Writer: responses are
-// encoded straight into pooled scratch chunks (wire.GetBuf), large
-// item values are spliced into the write as aliases of their queue
-// envelopes instead of being copied, and a whole micro-batch of
-// pipelined responses goes to the kernel as one vectored write
-// (net.Buffers → writev), so a depth-N pipeline costs one syscall.
-//
-// Ownership discipline: every pooled buffer a response references —
-// scratch chunks and zero-copy envelopes alike — is queued on the
-// writer's recycle list and returned to the pool only after the flush
-// that wrote its bytes. Nothing is recycled while the kernel may still
-// read it.
+// A respWriter replaces the per-connection bufio.Writer: every response
+// frame is appended into one pooled buffer (wire.GetBuf), item values
+// are copied in and their queue envelopes recycled at once, and a flush
+// hands the whole buffer to the connection in one Write, so a depth-N
+// pipeline of responses costs one syscall. The buffer never aliases
+// another pooled buffer, so a flush has nothing to recycle.
 
-const (
-	// zeroCopyMin: item values at least this large are aliased into
-	// the vectored write; smaller ones are memcpy'd into the scratch
-	// chunk (a copy this size is cheaper than an extra iovec entry).
-	zeroCopyMin = 4 << 10
-	// flushHighWater bounds the response bytes buffered before an
-	// intermediate flush, so a deep pipeline of fat responses cannot
-	// pin unbounded memory.
-	flushHighWater = 256 << 10
-	// respChunkSize is the scratch chunk granularity; small responses
-	// for a whole micro-batch typically fit in one chunk.
-	respChunkSize = 32 << 10
-)
+// respBufSize is the writer's starting buffer, one wire pool class: a
+// pipelined burst of small responses fits many times over. The buffer's
+// capacity bounds the bytes held before an intermediate flush; a single
+// frame larger than it swaps in a pool buffer that fits, until the flush
+// that writes it.
+const respBufSize = 128 << 10
 
-// buffersWriter is the vectored-write fast path a respWriter probes its
-// destination for. countingWriter implements it by forwarding, so the
-// metrics tap does not add a syscall per buffer.
-type buffersWriter interface {
-	WriteBuffers(*net.Buffers) (int64, error)
-}
+// fixedPayload bounds the fixed-size response payloads (INSERT_OK,
+// RETRY_AFTER, DRAINED, and WRONG_NODE apart from its owner address).
+const fixedPayload = 16
 
 type respWriter struct {
 	dst  io.Writer
-	vdst buffersWriter // dst's vectored path, nil if it has none
-
-	bufs    net.Buffers // completed iovecs, in write order
-	cur     []byte      // open scratch chunk (pooled), appended to in place
-	recycle [][]byte    // pooled buffers owned by pending bytes; PutBuf after flush
-	chunks  [][]byte    // spent scratch chunks owned by pending bytes; putChunk after flush
-	done    int         // bytes across bufs (excludes cur)
-	flushes int64       // vectored flushes issued (the syscall count proxy)
-	err     error       // sticky write error
-	// vscratch is the reusable iovec copy handed to WriteTo/WriteBuffers,
-	// which consume the slice they're given. A struct field rather than a
-	// local so taking its address doesn't force a heap escape per flush.
-	vscratch net.Buffers
-	// spare holds scratch chunks retained across flushes. Splice-heavy
-	// batches open a new chunk per spliced item; keeping the chunks on
-	// the writer makes that churn connection-local instead of a burst of
-	// same-class pool traffic.
-	spare [][]byte
+	buf  []byte // pooled; response frames appended in place
+	met  *serverMetrics
+	hint uint64 // metric stripe hint (the connection id)
+	err  error  // sticky write error
 }
 
-var respWriterPool = sync.Pool{New: func() any { return new(respWriter) }}
-
-func getRespWriter(dst io.Writer) *respWriter {
-	w := respWriterPool.Get().(*respWriter)
-	w.dst = dst
-	w.vdst, _ = dst.(buffersWriter)
-	w.err = nil
-	w.flushes = 0
-	return w
+func newRespWriter(dst io.Writer, met *serverMetrics, hint uint64) *respWriter {
+	return &respWriter{dst: dst, buf: wire.GetBuf(respBufSize), met: met, hint: hint}
 }
 
-// maxSpareChunks bounds the chunks a writer retains: enough for every
-// splice in a flush-high-water batch to reopen one.
-const maxSpareChunks = 16
+// release returns the buffer to the pool. Unflushed bytes are dropped
+// (the connection is gone).
+func (w *respWriter) release() { wire.PutBuf(w.buf) }
 
-// getChunk takes a retained chunk, falling back to the pool.
-func (w *respWriter) getChunk() []byte {
-	if n := len(w.spare); n > 0 {
-		c := w.spare[n-1]
-		w.spare[n-1] = nil
-		w.spare = w.spare[:n-1]
-		return c
-	}
-	return wire.GetBuf(respChunkSize)
-}
-
-// putChunk retains a spent scratch chunk for reuse, overflowing to the
-// pool once the writer holds enough.
-func (w *respWriter) putChunk(c []byte) {
-	if len(w.spare) < maxSpareChunks {
-		w.spare = append(w.spare, c[:0])
+// room makes space for an n-byte frame: it flushes what is buffered
+// when the frame would not fit, and swaps in a larger pool buffer when
+// the frame alone exceeds the buffer, so appends never grow it.
+func (w *respWriter) room(n int) {
+	if len(w.buf)+n <= cap(w.buf) {
 		return
 	}
-	wire.PutBuf(c)
+	w.flush()
+	if n > cap(w.buf) {
+		wire.PutBuf(w.buf)
+		w.buf = wire.GetBuf(n)
+	}
 }
 
-// release drops buffer references and returns the writer to its pool.
-// Pending unflushed bytes are discarded (the connection is gone).
-// Retained chunks stay with the writer — it is pooled itself.
-func (w *respWriter) release() {
-	if w.cur != nil {
-		w.putChunk(w.cur)
-		w.cur = nil
-	}
-	for i := range w.recycle {
-		wire.PutBuf(w.recycle[i])
-		w.recycle[i] = nil
-	}
-	w.recycle = w.recycle[:0]
-	for i := range w.chunks {
-		w.putChunk(w.chunks[i])
-		w.chunks[i] = nil
-	}
-	w.chunks = w.chunks[:0]
-	for i := range w.bufs {
-		w.bufs[i] = nil
-	}
-	w.bufs = w.bufs[:0]
-	w.done = 0
-	w.dst, w.vdst = nil, nil
-	respWriterPool.Put(w)
-}
-
-// pending reports the bytes buffered since the last flush.
-func (w *respWriter) pending() int { return w.done + len(w.cur) }
-
-// beginFrame starts a response frame in the open chunk and returns the
-// append target plus the length-patch offset for endFrame.
-func (w *respWriter) beginFrame(t wire.Type, id uint32) ([]byte, int) {
-	if w.cur == nil {
-		w.cur = w.getChunk()
-	}
-	return wire.BeginFrame(w.cur, t, id)
+// beginFrame starts a response frame whose payload is at most
+// payloadLen bytes and returns the append target plus the length-patch
+// offset for endFrame.
+func (w *respWriter) beginFrame(t wire.Type, id uint32, payloadLen int) ([]byte, int) {
+	w.room(12 + payloadLen) // length prefix + header
+	return wire.BeginFrame(w.buf, t, id)
 }
 
 // endFrame seals a frame begun with beginFrame. buf must be the slice
-// beginFrame returned, extended only by appends.
+// beginFrame returned, extended only by appends. It reports the sticky
+// write error of any flush the frame caused.
 func (w *respWriter) endFrame(buf []byte, off int) error {
-	w.cur = wire.EndFrame(buf, off)
-	if w.pending() >= flushHighWater {
-		return w.flush()
-	}
+	w.buf = wire.EndFrame(buf, off)
 	return w.err
-}
-
-// closeChunk moves the open chunk onto the iovec list.
-func (w *respWriter) closeChunk() {
-	if len(w.cur) == 0 {
-		return
-	}
-	w.bufs = append(w.bufs, w.cur)
-	w.chunks = append(w.chunks, w.cur)
-	w.done += len(w.cur)
-	w.cur = nil
 }
 
 // itemFrame writes a TItem response for one queue envelope (priority
-// tag + value, see servedQueue.tagLen) and takes ownership of the
-// envelope: small values are copied and the envelope recycled at once,
-// large ones are aliased into the vectored write with the recycle
-// deferred until after the flush.
+// tag + value, see servedQueue.tagLen) and recycles the envelope.
 func (w *respWriter) itemFrame(id uint32, env []byte, tagLen int) error {
-	pri := binary.BigEndian.Uint32(env)
-	value := env[tagLen:]
-	if len(value) < zeroCopyMin {
-		buf, off := w.beginFrame(wire.TItem, id)
-		buf = binary.BigEndian.AppendUint32(buf, pri)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(value)))
-		buf = append(buf, value...)
-		err := w.endFrame(buf, off)
-		wire.PutBuf(env)
-		return err
-	}
-	if w.cur == nil {
-		w.cur = w.getChunk()
-	}
-	w.cur = wire.AppendFrameHeader(w.cur, wire.TItem, id, 8+len(value))
-	w.cur = binary.BigEndian.AppendUint32(w.cur, pri)
-	w.cur = binary.BigEndian.AppendUint32(w.cur, uint32(len(value)))
-	w.spliceRef(value, env)
-	if w.pending() >= flushHighWater {
-		return w.flush()
-	}
-	return w.err
+	buf, off := w.beginFrame(wire.TItem, id, 8+len(env)-tagLen)
+	return w.endFrame(appendItem(buf, env, tagLen), off)
 }
 
-// itemsFrame writes a TItems response from queue envelopes, taking
-// ownership of every envelope like itemFrame does.
+// itemsFrame writes a TItems response from queue envelopes, recycling
+// every envelope like itemFrame does.
 func (w *respWriter) itemsFrame(id uint32, envs [][]byte, tagLen int) error {
 	payloadLen := 4
 	for _, env := range envs {
 		payloadLen += 8 + len(env) - tagLen
 	}
-	if w.cur == nil {
-		w.cur = w.getChunk()
-	}
-	w.cur = wire.AppendFrameHeader(w.cur, wire.TItems, id, payloadLen)
-	w.cur = binary.BigEndian.AppendUint32(w.cur, uint32(len(envs)))
+	buf, off := w.beginFrame(wire.TItems, id, payloadLen)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(envs)))
 	for _, env := range envs {
-		value := env[tagLen:]
-		if w.cur == nil { // a splice below closed the chunk
-			w.cur = w.getChunk()
-		}
-		w.cur = binary.BigEndian.AppendUint32(w.cur, binary.BigEndian.Uint32(env))
-		w.cur = binary.BigEndian.AppendUint32(w.cur, uint32(len(value)))
-		if len(value) < zeroCopyMin {
-			w.cur = append(w.cur, value...)
-			wire.PutBuf(env)
-		} else {
-			w.spliceRef(value, env)
-		}
+		buf = appendItem(buf, env, tagLen)
 	}
-	if w.pending() >= flushHighWater {
-		return w.flush()
+	return w.endFrame(buf, off)
+}
+
+// appendItem appends one wire item (priority, value length, value)
+// copied from a queue envelope, and returns the envelope to the pool.
+func appendItem(buf, env []byte, tagLen int) []byte {
+	value := env[tagLen:]
+	buf = binary.BigEndian.AppendUint32(buf, binary.BigEndian.Uint32(env))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(value)))
+	buf = append(buf, value...)
+	wire.PutBuf(env)
+	return buf
+}
+
+// flush writes everything buffered in one Write, counting the bytes
+// and the flush. Errors are sticky: the connection is unusable after
+// one, and later frames are dropped.
+func (w *respWriter) flush() error {
+	if len(w.buf) > 0 && w.err == nil {
+		n, err := w.dst.Write(w.buf)
+		w.met.bytesWritten.Add(w.hint, int64(n))
+		w.met.flushes.Inc(w.hint)
+		w.err = err
+	}
+	w.buf = w.buf[:0]
+	if cap(w.buf) > respBufSize {
+		// room swapped in a bigger buffer for one large frame; hand it
+		// back, so a connection holds only respBufSize between them.
+		wire.PutBuf(w.buf)
+		w.buf = wire.GetBuf(respBufSize)
 	}
 	return w.err
-}
-
-// spliceRef appends b to the vectored write without copying; owner is
-// the pooled buffer keeping b alive, recycled after the flush.
-func (w *respWriter) spliceRef(b, owner []byte) {
-	w.closeChunk()
-	w.bufs = append(w.bufs, b)
-	w.recycle = append(w.recycle, owner)
-	w.done += len(b)
-}
-
-// flush writes everything buffered in one vectored write. Errors are
-// sticky: the connection is unusable after one.
-func (w *respWriter) flush() error {
-	if w.err != nil {
-		return w.err
-	}
-	w.closeChunk()
-	if len(w.bufs) == 0 {
-		return nil
-	}
-	// WriteTo advances the slice and its elements as it writes, so it
-	// gets a scratch copy of the iovecs; recycle keeps the originals.
-	// save preserves the full-capacity header across that consumption.
-	w.vscratch = append(w.vscratch[:0], w.bufs...)
-	save := w.vscratch
-	var err error
-	if w.vdst != nil {
-		_, err = w.vdst.WriteBuffers(&w.vscratch)
-	} else {
-		_, err = w.vscratch.WriteTo(w.dst)
-	}
-	for i := range save {
-		save[i] = nil
-	}
-	w.vscratch = save[:0]
-	w.flushes++
-	for i := range w.recycle {
-		wire.PutBuf(w.recycle[i])
-		w.recycle[i] = nil
-	}
-	w.recycle = w.recycle[:0]
-	for i := range w.chunks {
-		w.putChunk(w.chunks[i])
-		w.chunks[i] = nil
-	}
-	w.chunks = w.chunks[:0]
-	for i := range w.bufs {
-		w.bufs[i] = nil
-	}
-	w.bufs = w.bufs[:0]
-	w.done = 0
-	w.err = err
-	return err
 }
 
 // connReaderPool recycles the 64 KiB per-connection read buffers
@@ -312,80 +159,4 @@ func putEnvs(s *[][]byte) {
 	}
 	*s = (*s)[:0]
 	envsPool.Put(s)
-}
-
-// Metric-tap fast-path forwarding (see countingReader/countingWriter in
-// server.go): the taps exist to count bytes, not to hide the runtime's
-// splice/sendfile/writev paths, so each forwards the corresponding
-// interface to the wrapped stream when it offers one.
-
-// WriteTo forwards the underlying reader's io.WriterTo (splice) when
-// present, counting the bytes moved.
-func (cr *countingReader) WriteTo(dst io.Writer) (int64, error) {
-	if wt, ok := cr.r.(io.WriterTo); ok {
-		n, err := wt.WriteTo(dst)
-		if n > 0 {
-			cr.n.Add(cr.hint, n)
-		}
-		return n, err
-	}
-	return copyCounted(dst, cr.r, cr.n, cr.hint)
-}
-
-// ReadFrom forwards the underlying writer's io.ReaderFrom (sendfile /
-// splice) when present, counting the bytes moved.
-func (cw *countingWriter) ReadFrom(src io.Reader) (int64, error) {
-	if rf, ok := cw.w.(io.ReaderFrom); ok {
-		n, err := rf.ReadFrom(src)
-		if n > 0 {
-			cw.n.Add(cw.hint, n)
-		}
-		return n, err
-	}
-	return copyCounted(cw.w, src, cw.n, cw.hint)
-}
-
-// WriteBuffers forwards a vectored write to the underlying connection —
-// net.Buffers' own writev fast path only triggers on a raw *net.TCPConn,
-// so the tap must pass the whole batch through rather than surface as a
-// plain io.Writer and degrade it to one syscall per buffer.
-func (cw *countingWriter) WriteBuffers(bufs *net.Buffers) (int64, error) {
-	n, err := bufs.WriteTo(cw.w)
-	if n > 0 {
-		cw.n.Add(cw.hint, n)
-	}
-	return n, err
-}
-
-// copyCounted is the fallback for wrapped streams with no fast path:
-// a plain copy loop through a pooled buffer, counted.
-func copyCounted(dst io.Writer, src io.Reader, c *obs.Counter, hint uint64) (int64, error) {
-	buf := wire.GetBuf(32 << 10)
-	b := buf[:cap(buf)]
-	var total int64
-	for {
-		n, rerr := src.Read(b)
-		if n > 0 {
-			wn, werr := dst.Write(b[:n])
-			if wn > 0 {
-				total += int64(wn)
-				c.Add(hint, int64(wn))
-			}
-			if werr != nil {
-				wire.PutBuf(buf)
-				return total, werr
-			}
-			if wn < n {
-				wire.PutBuf(buf)
-				return total, io.ErrShortWrite
-			}
-		}
-		if rerr != nil {
-			wire.PutBuf(buf)
-			if rerr == io.EOF {
-				rerr = nil
-			}
-			return total, rerr
-		}
-	}
 }

@@ -4,8 +4,8 @@
 // priority-range sharding, admission control via the paper's bounded
 // fetch-and-decrement counter (shedding with RETRY_AFTER instead of
 // queueing unboundedly), one goroutine per connection that flushes
-// each pipelined burst of responses in one vectored write, and graceful
-// drain.
+// each pipelined burst of responses from one buffer in one write, and
+// graceful drain.
 package server
 
 import (
@@ -361,8 +361,9 @@ type connState struct {
 	log *slog.Logger
 }
 
-// countingReader / countingWriter tap a connection's byte streams into
-// the protocol byte counters without touching buffering behaviour.
+// countingReader taps a connection's read stream into the protocol
+// byte counter without touching buffering behaviour. The write side is
+// counted by respWriter.flush.
 type countingReader struct {
 	r    io.Reader
 	n    *obs.Counter
@@ -377,20 +378,6 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-type countingWriter struct {
-	w    io.Writer
-	n    *obs.Counter
-	hint uint64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	if n > 0 {
-		cw.n.Add(cw.hint, int64(n))
-	}
-	return n, err
-}
-
 // maxBatch caps how many requests one connection handles between
 // response flushes, so a client that keeps its pipeline full still
 // sees its responses at a steady pace.
@@ -400,13 +387,15 @@ const maxBatch = 64
 // it, recycle its payload, and flush the response writer once the next
 // frame is not already complete in the read buffer or maxBatch requests
 // have been handled since the last flush. Whatever the client pipelined
-// goes back as one vectored write, and no request crosses a goroutine.
+// goes back as one Write of one buffer, and no request crosses a
+// goroutine.
 //
 // Buffer ownership along the path: the FrameReader hands each request
 // a pooled payload buffer, recycled right after handle returns —
 // everything a request retains (an inserted item) was copied into a
-// queue envelope by then, and everything a response references is
-// queue envelopes, never the request payload.
+// queue envelope by then, and responses copy item values out of queue
+// envelopes into the writer's own buffer, never referencing the
+// request payload.
 func (s *Server) serveConn(c net.Conn) {
 	defer s.dropConn(c)
 
@@ -417,12 +406,11 @@ func (s *Server) serveConn(c net.Conn) {
 	defer s.met.connsActive.Add(-1)
 	br := getConnReader(&countingReader{r: c, n: s.met.bytesRead, hint: cs.id})
 	defer putConnReader(br)
-	w := getRespWriter(&countingWriter{w: c, n: s.met.bytesWritten, hint: cs.id})
+	w := newRespWriter(c, s.met, cs.id)
 	defer w.release()
 
 	var fr wire.FrameReader
 	var n int
-	var flushed int64
 	for {
 		f, perr := fr.ReadFrame(br)
 		if perr != nil && !errors.Is(perr, wire.ErrBadVersion) && !errors.Is(perr, wire.ErrBadFlags) {
@@ -451,8 +439,6 @@ func (s *Server) serveConn(c net.Conn) {
 		}
 		s.met.framesWritten.Add(cs.id, int64(n))
 		s.met.pipelineDepth.Observe(cs.id, int64(n))
-		s.met.flushes.Add(cs.id, w.flushes-flushed)
-		flushed = w.flushes
 		n = 0
 	}
 }
@@ -477,9 +463,9 @@ func isEOF(err error) bool {
 // reply appends one response frame with a pre-built payload to the
 // connection's response writer — the cold-path helper (errors, stats
 // JSON). Hot paths append their payloads straight into the writer's
-// scratch via beginFrame/endFrame instead.
+// buffer via beginFrame/endFrame instead.
 func reply(w *respWriter, id uint32, t wire.Type, payload []byte) error {
-	buf, off := w.beginFrame(t, id)
+	buf, off := w.beginFrame(t, id, len(payload))
 	buf = append(buf, payload...)
 	return w.endFrame(buf, off)
 }
@@ -489,7 +475,7 @@ func (s *Server) replyErr(w *respWriter, id uint32, format string, args ...any) 
 }
 
 func (s *Server) replyRetry(w *respWriter, id uint32) error {
-	buf, off := w.beginFrame(wire.TRetryAfter, id)
+	buf, off := w.beginFrame(wire.TRetryAfter, id, fixedPayload)
 	buf = wire.RetryAfter{Millis: uint32(s.cfg.RetryAfterMillis)}.Append(buf)
 	return w.endFrame(buf, off)
 }
@@ -550,7 +536,7 @@ func (s *Server) handle(f wire.Frame, protoErr error, w *respWriter, cs connStat
 		s.opDone(q, opInsert, t0, cs)
 		switch st {
 		case insOK:
-			buf, off := w.beginFrame(wire.TInsertOK, f.ID)
+			buf, off := w.beginFrame(wire.TInsertOK, f.ID, fixedPayload)
 			buf = wire.InsertOK{Accepted: 1}.Append(buf)
 			return w.endFrame(buf, off)
 		case insShed:
@@ -601,7 +587,7 @@ func (s *Server) handle(f wire.Frame, protoErr error, w *respWriter, cs connStat
 		if ok.Rejected > 0 {
 			ok.RetryAfterMillis = uint32(s.cfg.RetryAfterMillis)
 		}
-		buf, off := w.beginFrame(wire.TInsertOK, f.ID)
+		buf, off := w.beginFrame(wire.TInsertOK, f.ID, fixedPayload)
 		buf = ok.Append(buf)
 		return w.endFrame(buf, off)
 
@@ -622,7 +608,7 @@ func (s *Server) handle(f wire.Frame, protoErr error, w *respWriter, cs connStat
 			return s.replyErr(w, f.ID, "durability: %v", err)
 		}
 		if !ok {
-			buf, off := w.beginFrame(wire.TEmpty, f.ID)
+			buf, off := w.beginFrame(wire.TEmpty, f.ID, 0)
 			return w.endFrame(buf, off)
 		}
 		return w.itemFrame(f.ID, env, q.tagLen)
@@ -691,7 +677,7 @@ func (s *Server) handle(f wire.Frame, protoErr error, w *respWriter, cs connStat
 		if rem < 0 {
 			rem = 0
 		}
-		buf, off := w.beginFrame(wire.TDrained, f.ID)
+		buf, off := w.beginFrame(wire.TDrained, f.ID, fixedPayload)
 		buf = wire.Drained{Remaining: uint64(rem)}.Append(buf)
 		return w.endFrame(buf, off)
 

@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -388,6 +389,98 @@ func TestFlushBeforePartialFrame(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOneWritePerFlush pins that a response flush is one Write on the
+// connection, whatever the connection's type. The server is fed a
+// listener whose conns count Write calls (as a tracing or TLS wrapper
+// would be), and a pipeline of DELETE_MINs of 8 KiB values must cost
+// exactly as many Writes as pq_response_flushes_total counts.
+func TestOneWritePerFlush(t *testing.T) {
+	s := New(Config{Concurrency: 8, Logger: testLogger(t)})
+	if err := s.AddQueue(QueueSpec{Name: "jobs", Algorithm: pq.SimpleLinear, Priorities: 8}); err != nil {
+		t.Fatal(err)
+	}
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &writeCountingListener{Listener: inner}
+	done := make(chan error, 1)
+	go func() { done <- s.Serve(ln) }()
+	t.Cleanup(func() { s.Close(); <-done })
+
+	const n, valSize = 8, 8 << 10
+	// session sends reqs in one write, reads one response per request,
+	// and hangs up; it returns once the server is done with the
+	// connection, so every flush it caused has been counted.
+	session := func(reqs []byte, want wire.Type) {
+		t.Helper()
+		nc, err := netDial(inner.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nc.Write(reqs); err != nil {
+			t.Fatal(err)
+		}
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for i := 0; i < n; i++ {
+			f, err := wire.ReadFrame(nc)
+			if err != nil || f.Type != want {
+				t.Fatalf("response %d: got %v err=%v, want %v", i, f.Type, err, want)
+			}
+		}
+		nc.Close()
+		for deadline := time.Now().Add(5 * time.Second); s.met.connsActive.Load() != 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("server did not finish the connection")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	var inserts, deletes []byte
+	value := make([]byte, valSize)
+	for i := 0; i < n; i++ {
+		inserts = wire.AppendFrame(inserts, wire.Frame{Type: wire.TInsert, ID: uint32(i + 1),
+			Payload: wire.Insert{Queue: "jobs", Item: wire.Item{Pri: uint32(i), Value: value}}.Append(nil)})
+		deletes = wire.AppendFrame(deletes, wire.Frame{Type: wire.TDeleteMin, ID: uint32(i + 1),
+			Payload: wire.QueueReq{Queue: "jobs"}.Append(nil)})
+	}
+	session(inserts, wire.TInsertOK)
+
+	writes0, flushes0 := ln.writes.Load(), s.met.flushes.Load()
+	session(deletes, wire.TItem)
+	writes, flushes := ln.writes.Load()-writes0, s.met.flushes.Load()-flushes0
+	if flushes < 1 || writes != flushes {
+		t.Fatalf("%d pipelined DELETE_MINs of %d B values: %d Writes for %d flushes, want one Write per flush",
+			n, valSize, writes, flushes)
+	}
+}
+
+// writeCountingListener hands the server conns that count their Write
+// calls.
+type writeCountingListener struct {
+	net.Listener
+	writes atomic.Int64
+}
+
+func (l *writeCountingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &writeCountingConn{Conn: c, writes: &l.writes}, nil
+}
+
+type writeCountingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c *writeCountingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
 }
 
 // TestDeleteMinBatchRespectsFrameLimit fills a queue with values big

@@ -16,13 +16,15 @@ import (
 
 // TestServeBufferOwnershipStress hammers the pooled-buffer serving path
 // from several concurrent connections, each pipelining a randomized mix
-// of inserts (small copied values and >= zeroCopyMin spliced ones),
-// delete-mins, delete-min-batches, protocol errors, and bad-version
-// resync frames. Every delivered value must match the deterministic
-// pattern derived from its priority — a recycled-too-early request
-// payload, response chunk, or queue envelope shows up as a corrupt or
-// cross-wired value. Run under -race this is the ownership-discipline
-// check for the zero-allocation path.
+// of inserts, delete-mins, delete-min-batches, protocol errors, and
+// bad-version resync frames. Values run from 8 B to 8 KiB, so a burst
+// of responses overflows the writer's buffer and flushes mid-batch; a
+// rare value larger than the whole buffer makes the writer swap in a
+// bigger pool buffer between those flushes. Every delivered value must
+// match the deterministic pattern derived from its priority — a
+// recycled-too-early request payload, response buffer, or queue
+// envelope shows up as a corrupt or cross-wired value. Run under -race
+// this is the ownership-discipline check for the zero-allocation path.
 func TestServeBufferOwnershipStress(t *testing.T) {
 	const (
 		queue  = "stress"
@@ -103,10 +105,11 @@ func stressConn(addr, queue string, pris, batches int, seed int64) error {
 	defer nc.Close()
 	br := bufio.NewReaderSize(nc, 256<<10)
 	rng := rand.New(rand.NewSource(seed))
-	// Sizes straddle zeroCopyMin so both the memcpy and the splice
-	// response paths run, interleaved on one connection.
-	sizes := []int{8, 96, 700, zeroCopyMin, 2 * zeroCopyMin}
-	scratch := make([]byte, 2*zeroCopyMin)
+	// One insert in 64 carries a value larger than the writer's whole
+	// buffer, so buffer swaps interleave with mid-batch flushes.
+	sizes := []int{8, 96, 700, 4 << 10, 8 << 10}
+	const bigValue = respBufSize + 4<<10
+	scratch := make([]byte, bigValue)
 	respBuf := make([]byte, wire.MaxFrame)
 	var hdr [12]byte
 
@@ -138,6 +141,9 @@ func stressConn(addr, queue string, pris, batches int, seed int64) error {
 			case reqInsert:
 				pri := uint32(rng.Intn(pris))
 				v := scratch[:sizes[rng.Intn(len(sizes))]]
+				if rng.Intn(64) == 0 {
+					v = scratch[:bigValue]
+				}
 				stressValue(v, pri)
 				batch = wire.AppendFrame(batch, wire.Frame{Type: wire.TInsert, ID: nextID,
 					Payload: wire.Insert{Queue: queue, Item: wire.Item{Pri: pri, Value: v}}.Append(nil)})
